@@ -20,6 +20,7 @@ use std::sync::Arc;
 use om_bench::{scaleup_dataset, scaleup_spec, time_median};
 use om_compare::{candidate_attrs, CompareConfig, Comparator};
 use om_cube::{ColumnIndex, CubeStore, StoreBuildOptions};
+use om_server::v1::compare_wire;
 
 const COND_ATTR: usize = 1;
 
@@ -80,8 +81,8 @@ fn main() {
     assert_eq!(walk.len(), kernel.len());
     for (w, k) in walk.iter().zip(&kernel) {
         assert_eq!(
-            om_compare::json::to_json(w),
-            om_compare::json::to_json(k),
+            compare_wire(w).encode(),
+            compare_wire(k).encode(),
             "kernel counting must be byte-identical to the record walk"
         );
     }

@@ -12,6 +12,7 @@ use om_bench::{build_store, scaleup_dataset, scaleup_spec, time_median};
 use om_compare::{CompareConfig, Comparator};
 use om_engine::Budget;
 use om_exec::{rank_parallel, ExecConfig, Executor};
+use om_server::v1::compare_wire;
 
 fn main() {
     let smoke = std::env::var("OM_BENCH_SMOKE").is_ok_and(|v| v == "1");
@@ -37,8 +38,8 @@ fn main() {
     });
 
     assert_eq!(
-        om_compare::json::to_json(&serial),
-        om_compare::json::to_json(&parallel),
+        compare_wire(&serial).encode(),
+        compare_wire(&parallel).encode(),
         "sharded ranking must be byte-identical to serial"
     );
 

@@ -303,6 +303,10 @@ fn compare_json_format() {
     let trimmed = text.trim();
     assert!(trimmed.starts_with('{') && trimmed.ends_with('}'), "{text}");
     assert!(trimmed.contains("\"ranked\":["), "{text}");
+    // The export is pinned byte for byte (trailing newline included);
+    // a diff in the golden file is a change to the export format.
+    let golden = include_str!("golden/compare_json.json");
+    assert_eq!(text, golden, "compare --format json drifted from tests/golden/compare_json.json");
     // Bad format rejected.
     let r = opmap(&[
         "compare", "--data", &csv, "--class", "CallDisposition", "--attr", "PhoneModel",

@@ -34,6 +34,16 @@ fn scenario(n_records: usize, seed: u64) -> Dataset {
     })
 }
 
+/// Failpoints are process-global: one armed by a test in `mod
+/// failpoints` (a delayed store fetch, a failing explore step) reaches
+/// every server in this binary. Those tests hold this lock exclusively
+/// and every other test holds it shared, so the two never overlap.
+static FAILPOINTS: parking_lot::RwLock<()> = parking_lot::RwLock::new(());
+
+fn failpoints_disarmed() -> parking_lot::RwLockReadGuard<'static, ()> {
+    FAILPOINTS.read()
+}
+
 fn server_config() -> ServerConfig {
     ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
@@ -132,6 +142,7 @@ fn assert_identical(coord: &ShardClient, single: &ShardClient, path: &str, body:
 
 #[test]
 fn coordinator_is_byte_identical_to_single_node() {
+    let _fp = failpoints_disarmed();
     with_cluster(4, false, |coord, single, _, _| {
         let compare = om_api::CompareRequest {
             attr: "PhoneModel".into(),
@@ -266,6 +277,7 @@ fn coordinator_is_byte_identical_to_single_node() {
 /// response must still agree byte for byte.
 #[test]
 fn two_shard_kernel_conditioning_is_byte_identical() {
+    let _fp = failpoints_disarmed();
     with_cluster(2, false, |coord, single, _, _| {
         let drill = om_api::DrillRequest {
             attr: "PhoneModel".into(),
@@ -361,6 +373,7 @@ fn two_shard_kernel_conditioning_is_byte_identical() {
 
 #[test]
 fn explore_through_coordinator_is_byte_identical() {
+    let _fp = failpoints_disarmed();
     // /v1/explore runs the same greedy drill-down over the
     // coordinator's merged store as over the single-node twin, so a
     // 2-shard coordinator must agree byte for byte on answers and on
@@ -438,6 +451,7 @@ fn explore_through_coordinator_is_byte_identical() {
 
 #[test]
 fn connect_refuses_a_dead_shard() {
+    let _fp = failpoints_disarmed();
     // One live shard, one dead address (a bound-then-dropped listener
     // guarantees the port is closed): connect must fail and name the
     // unreachable shard rather than silently degrade to partial data.
@@ -467,6 +481,7 @@ fn connect_refuses_a_dead_shard() {
 
 #[test]
 fn shard_lost_after_connect_yields_503_envelope() {
+    let _fp = failpoints_disarmed();
     let ds = scenario(6_000, 7);
     let twin = Arc::new(OpportunityMap::build(ds, EngineConfig::default()).unwrap());
     let parts = partition_dataset(twin.dataset(), 2).unwrap();
@@ -550,6 +565,7 @@ fn shard_lost_after_connect_yields_503_envelope() {
 
 #[test]
 fn distributed_ingest_routes_and_stays_identical() {
+    let _fp = failpoints_disarmed();
     with_cluster(2, true, |coord, single, shards, shard_oms| {
         // Rows to ingest: verbatim field labels of real records, so
         // they parse everywhere.
@@ -694,6 +710,7 @@ fn metric_value(metrics: &str, name: &str) -> u64 {
 
 #[test]
 fn replicated_cluster_survives_one_replica_per_partition() {
+    let _fp = failpoints_disarmed();
     let (_, coord, mut shard_servers, _, single) = replicated_fixture(2, 2);
     let cc = client(&coord);
     let sc = client(&single);
@@ -745,6 +762,7 @@ fn replicated_cluster_survives_one_replica_per_partition() {
 
 #[test]
 fn whole_partition_loss_defaults_to_503_and_degrades_on_opt_in() {
+    let _fp = failpoints_disarmed();
     let (_, coord, mut shard_servers, addrs, single) = replicated_fixture(2, 2);
     let cc = client(&coord);
 
@@ -839,6 +857,7 @@ fn whole_partition_loss_defaults_to_503_and_degrades_on_opt_in() {
 
 #[test]
 fn rejoined_replica_catches_up_and_takes_over() {
+    let _fp = failpoints_disarmed();
     // One partition, two replicas, live ingestion. Replica B misses a
     // batch while down, rejoins on its original port, is caught up by
     // replay — and then must carry the cluster alone when A dies.
@@ -985,6 +1004,7 @@ fn rejoined_replica_catches_up_and_takes_over() {
 
 #[test]
 fn hedged_fetch_never_strands_a_half_open_probe() {
+    let _fp = failpoints_disarmed();
     // Regression: the hedged fetch used to admit every replica's
     // breaker up front, so a half-open probe admitted for a candidate
     // the race never launched (the preferred replica answered before
@@ -1101,10 +1121,6 @@ fn hedged_fetch_never_strands_a_half_open_probe() {
 mod failpoints {
     use super::*;
     use om_fault::fail::{self, Action};
-    use parking_lot::Mutex;
-
-    /// Failpoint state is process-global; these tests must not overlap.
-    static SERIAL: Mutex<()> = Mutex::new(());
 
     fn small_fixture(
         replicas: usize,
@@ -1130,7 +1146,7 @@ mod failpoints {
 
     #[test]
     fn slow_store_fetch_triggers_a_hedge_that_wins() {
-        let _serial = SERIAL.lock();
+        let _serial = FAILPOINTS.write();
         // Both replicas answer the store fetch 80ms late; with a 20ms
         // hedge threshold the coordinator races the second replica
         // instead of waiting, and the request still answers 200.
@@ -1158,7 +1174,7 @@ mod failpoints {
 
     #[test]
     fn explore_truncation_is_byte_identical_through_the_coordinator() {
-        let _serial = SERIAL.lock();
+        let _serial = FAILPOINTS.write();
         // `explore.step` fires at the end of every greedy iteration, and
         // both the coordinator (merged store, in process) and the
         // single-node twin run that loop in this test process — one
@@ -1185,7 +1201,7 @@ mod failpoints {
 
     #[test]
     fn whole_request_deadline_bounds_a_stalled_shard() {
-        let _serial = SERIAL.lock();
+        let _serial = FAILPOINTS.write();
         // The shard stalls 3s inside the store handler; the client's
         // whole-request deadline (300ms) must cut the request off and
         // surface a typed 503 long before the stall ends.
@@ -1216,6 +1232,7 @@ mod failpoints {
 
 #[test]
 fn ephemeral_port_contract() {
+    let _fp = failpoints_disarmed();
     // Satellite: port 0 binding reports the chosen port — the contract
     // the multi-process harness scrapes.
     let ds = scenario(2_000, 3);

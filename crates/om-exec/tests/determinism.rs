@@ -9,6 +9,7 @@ use om_compare::{CompareConfig, Comparator, ComparisonSpec};
 use om_cube::{CubeStore, StoreBuildOptions};
 use om_exec::{rank_parallel, ExecConfig, Executor};
 use om_fault::Budget;
+use om_server::v1::compare_wire;
 use om_synth::{generate_scaleup, ScaleUpConfig};
 use proptest::prelude::*;
 use proptest::test_runner::ProptestConfig;
@@ -55,13 +56,13 @@ fn assert_widths_agree(n_attrs: usize, n_records: usize, seed: u64, attr: usize)
             return;
         }
     };
-    let serial_bytes = om_compare::json::to_json(&serial);
+    let serial_bytes = compare_wire(&serial).encode();
     for workers in WIDTHS {
         let exec = Executor::new(&ExecConfig { workers });
         let parallel =
             rank_parallel(&exec, &store, &config, &spec, &Budget::unlimited()).unwrap();
         assert_eq!(
-            om_compare::json::to_json(&parallel),
+            compare_wire(&parallel).encode(),
             serial_bytes,
             "workers={workers}, n_attrs={n_attrs}, n_records={n_records}, seed={seed}"
         );
@@ -95,7 +96,7 @@ fn paper_scenario_is_byte_identical_across_widths() {
     };
     let store = Arc::new(CubeStore::build(&ds, &StoreBuildOptions::default()).unwrap());
     let serial = Comparator::new(&store).compare(&spec).unwrap();
-    let serial_bytes = om_compare::json::to_json(&serial);
+    let serial_bytes = compare_wire(&serial).encode();
     for workers in WIDTHS {
         let exec = Executor::new(&ExecConfig { workers });
         let parallel = rank_parallel(
@@ -106,6 +107,6 @@ fn paper_scenario_is_byte_identical_across_widths() {
             &Budget::unlimited(),
         )
         .unwrap();
-        assert_eq!(om_compare::json::to_json(&parallel), serial_bytes, "workers={workers}");
+        assert_eq!(compare_wire(&parallel).encode(), serial_bytes, "workers={workers}");
     }
 }

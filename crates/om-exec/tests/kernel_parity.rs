@@ -25,6 +25,7 @@ use om_gi::{
     mine_exceptions_budgeted, mine_influence_budgeted, mine_trends_budgeted, ExceptionConfig,
     TrendConfig,
 };
+use om_server::v1::compare_wire;
 use om_synth::{generate_scaleup, ScaleUpConfig};
 use proptest::prelude::*;
 use proptest::test_runner::ProptestConfig;
@@ -132,15 +133,15 @@ fn assert_compare_parity(n_attrs: usize, n_records: usize, seed: u64, attr: usiz
     let config = CompareConfig::default();
     match Comparator::new(&record).compare(&spec) {
         Ok(serial) => {
-            let bytes = om_compare::json::to_json(&serial);
+            let bytes = compare_wire(&serial).encode();
             let k = Comparator::new(&kernel).compare(&spec).unwrap();
-            assert_eq!(om_compare::json::to_json(&k), bytes, "serial kernel");
+            assert_eq!(compare_wire(&k).encode(), bytes, "serial kernel");
             for workers in WIDTHS {
                 let exec = Executor::new(&ExecConfig { workers });
                 let parallel =
                     rank_parallel(&exec, &kernel, &config, &spec, &Budget::unlimited()).unwrap();
                 assert_eq!(
-                    om_compare::json::to_json(&parallel),
+                    compare_wire(&parallel).encode(),
                     bytes,
                     "workers={workers}, n_attrs={n_attrs}, n_records={n_records}, seed={seed}"
                 );

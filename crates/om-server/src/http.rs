@@ -1,7 +1,8 @@
 //! Minimal, bounded HTTP/1.1 request parsing and response writing.
 //!
-//! The daemon only ever serves small `GET` requests from trusted
-//! analysts, so the parser is deliberately strict and size-bounded:
+//! The daemon serves small JSON `POST`s (and `GET` health/metrics
+//! probes) from trusted analysts, so the parser is deliberately strict
+//! and size-bounded:
 //! every limit violation or syntax error becomes a clean `400` instead
 //! of a panic or an unbounded allocation.
 
@@ -14,7 +15,7 @@ pub const MAX_REQUEST_LINE: usize = 4096;
 pub const MAX_HEADER_LINE: usize = 1024;
 /// Upper bound on the number of headers.
 pub const MAX_HEADERS: usize = 64;
-/// Default upper bound on a request body (`POST /ingest` uploads).
+/// Default upper bound on a request body (`POST /v1/ingest` uploads).
 pub const DEFAULT_MAX_BODY_BYTES: usize = 1 << 20;
 
 /// Why a request could not be parsed.
@@ -47,51 +48,11 @@ impl std::fmt::Display for ParseError {
 pub struct Request {
     pub method: String,
     pub path: String,
-    /// Query parameters, percent-decoded, in sorted key order (which
-    /// also canonicalizes the cache key).
+    /// Query parameters, percent-decoded, in sorted key order (read by
+    /// `/internal/store?expect=`).
     pub params: BTreeMap<String, String>,
     /// The request body (empty without a `Content-Length` header).
     pub body: String,
-}
-
-impl Request {
-    /// The canonical cache key of this request: path plus sorted,
-    /// re-encoded query parameters.
-    #[must_use]
-    pub fn canonical_key(&self) -> String {
-        let mut key = self.path.clone();
-        for (i, (k, v)) in self.params.iter().enumerate() {
-            key.push(if i == 0 { '?' } else { '&' });
-            key.push_str(k);
-            key.push('=');
-            key.push_str(v);
-        }
-        key
-    }
-
-    /// A required parameter.
-    ///
-    /// # Errors
-    /// Returns the missing key's name for a `400` response.
-    pub fn required(&self, key: &str) -> Result<&str, String> {
-        self.params
-            .get(key)
-            .map(String::as_str)
-            .ok_or_else(|| format!("missing required query parameter {key:?}"))
-    }
-
-    /// An optional parameter parsed as `T`, defaulting when absent.
-    ///
-    /// # Errors
-    /// Returns a message naming the key when present but unparsable.
-    pub fn parse_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.params.get(key) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse::<T>()
-                .map_err(|_| format!("query parameter {key:?} has invalid value {raw:?}")),
-        }
-    }
 }
 
 /// Read one line terminated by `\n`, enforcing `limit` bytes.
@@ -471,17 +432,17 @@ mod tests {
     }
 
     #[test]
-    fn parses_and_canonicalizes_query() {
-        let r = parse_str(
-            "GET /compare?v2=ph2&attr=Phone%20Model&v1=ph1&class=dropped HTTP/1.1\r\n\r\n",
-        )
-        .unwrap();
-        assert_eq!(r.required("attr").unwrap(), "Phone Model");
+    fn parses_query_into_sorted_params() {
+        let r = parse_str("GET /internal/store?expect=3&a=Phone%20Model HTTP/1.1\r\n\r\n")
+            .unwrap();
+        assert_eq!(r.path, "/internal/store");
         assert_eq!(
-            r.canonical_key(),
-            "/compare?attr=Phone Model&class=dropped&v1=ph1&v2=ph2"
+            r.params.iter().collect::<Vec<_>>(),
+            [
+                (&"a".to_owned(), &"Phone Model".to_owned()),
+                (&"expect".to_owned(), &"3".to_owned())
+            ]
         );
-        assert_eq!(r.parse_or("top", 10usize).unwrap(), 10);
     }
 
     #[test]
@@ -528,7 +489,7 @@ mod tests {
 
     #[test]
     fn reads_posted_body_to_content_length() {
-        let r = parse_str("POST /ingest HTTP/1.1\r\nContent-Length: 12\r\n\r\na,b,c\nd,e,f\nignored tail")
+        let r = parse_str("POST /v1/ingest HTTP/1.1\r\nContent-Length: 12\r\n\r\na,b,c\nd,e,f\nignored tail")
             .unwrap();
         assert_eq!(r.method, "POST");
         assert_eq!(r.body, "a,b,c\nd,e,f\n");
@@ -543,7 +504,7 @@ mod tests {
     #[test]
     fn oversized_body_rejected_before_reading_it() {
         let raw = format!(
-            "POST /ingest HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            "POST /v1/ingest HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
             DEFAULT_MAX_BODY_BYTES + 1
         );
         assert!(matches!(parse_str(&raw), Err(ParseError::Malformed(_))));

@@ -2,11 +2,10 @@
 //!
 //! Every `/v1` handler runs against [`EngineOps`] instead of a concrete
 //! engine. [`EngineBackend`] delegates verbatim to a resident
-//! [`OpportunityMap`] — that is the single-node server, byte-identical
-//! to the pre-trait handlers. The om-cluster coordinator provides the
-//! second implementation: the same methods answered by fanning out over
-//! shard processes and merging, which is what lets a coordinator serve
-//! the `/v1` contract unchanged.
+//! [`OpportunityMap`] — that is the single-node server. The om-cluster
+//! coordinator provides the second implementation: the same methods
+//! answered by fanning out over shard processes and merging, which is
+//! what lets a coordinator serve the `/v1` contract unchanged.
 
 use std::sync::Arc;
 
@@ -18,7 +17,7 @@ use om_engine::{
 };
 
 /// A backend failure, in one of the two shapes the handlers map from:
-/// an engine error (classified exactly like the legacy status mapping)
+/// an engine error (classified into an envelope code by the handlers)
 /// or a ready-made `/v1` envelope (the cluster coordinator's native
 /// error shape — shard failures arrive with code, message and retry
 /// hint already decided).

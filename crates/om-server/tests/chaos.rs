@@ -12,6 +12,7 @@ use std::net::TcpStream;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
+use om_api::{ErrorCode, ErrorEnvelope};
 use om_engine::{EngineConfig, OpportunityMap};
 use om_fault::fail::{self, Action};
 use om_server::{Server, ServerConfig};
@@ -44,12 +45,25 @@ fn engine() -> Arc<OpportunityMap> {
     }))
 }
 
-/// One raw request; returns (status, full head, body).
+/// One `GET`; returns (status, full head, body).
 fn request(addr: std::net::SocketAddr, target: &str) -> (u16, String, String) {
+    send(addr, &format!("GET {target} HTTP/1.1\r\nHost: x\r\n\r\n"))
+}
+
+/// One JSON `POST`; returns (status, full head, body).
+fn post(addr: std::net::SocketAddr, path: &str, body: &str) -> (u16, String, String) {
+    send(
+        addr,
+        &format!(
+            "POST {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        ),
+    )
+}
+
+fn send(addr: std::net::SocketAddr, raw: &str) -> (u16, String, String) {
     let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .write_all(format!("GET {target} HTTP/1.1\r\nHost: x\r\n\r\n").as_bytes())
-        .unwrap();
+    stream.write_all(raw.as_bytes()).unwrap();
     let mut response = String::new();
     stream.read_to_string(&mut response).unwrap();
     let (head, body) = response
@@ -63,7 +77,16 @@ fn request(addr: std::net::SocketAddr, target: &str) -> (u16, String, String) {
     (status, head.to_owned(), body.to_owned())
 }
 
-const COMPARE: &str = "/compare?attr=PhoneModel&v1=ph1&v2=ph2&class=dropped";
+const COMPARE: &str = r#"{"attr":"PhoneModel","v1":"ph1","v2":"ph2","class":"dropped"}"#;
+
+fn compare(addr: std::net::SocketAddr) -> (u16, String, String) {
+    post(addr, "/v1/compare", COMPARE)
+}
+
+/// The parsed error envelope of a `/v1` failure body.
+fn envelope(body: &str) -> ErrorEnvelope {
+    ErrorEnvelope::parse(body).unwrap_or_else(|e| panic!("not an error envelope ({e}): {body}"))
+}
 
 #[test]
 fn expensive_query_times_out_while_cheap_queries_succeed() {
@@ -76,7 +99,6 @@ fn expensive_query_times_out_while_cheap_queries_succeed() {
         engine(),
         ServerConfig {
             engine_budget: Some(budget),
-            cache_capacity: 0,
             ..ServerConfig::default()
         },
     )
@@ -90,19 +112,22 @@ fn expensive_query_times_out_while_cheap_queries_succeed() {
                 for _ in 0..5 {
                     let (status, _, body) = request(addr, "/healthz");
                     assert_eq!(status, 200, "{body}");
-                    let (status, _, _) = request(addr, "/cube/slice?attr=PhoneModel");
-                    assert_eq!(status, 200);
+                    let (status, _, body) =
+                        post(addr, "/v1/cube/slice", r#"{"attr":"PhoneModel"}"#);
+                    assert_eq!(status, 200, "{body}");
                 }
             })
         })
         .collect();
 
     let started = Instant::now();
-    let (status, head, body) = request(addr, COMPARE);
+    let (status, head, body) = compare(addr);
     let elapsed = started.elapsed();
     assert_eq!(status, 503, "{body}");
     assert!(head.contains("Retry-After:"), "{head}");
-    assert!(body.contains("deadline exceeded"), "{body}");
+    let env = envelope(&body);
+    assert_eq!(env.code, ErrorCode::Overloaded, "{body}");
+    assert!(env.message.contains("deadline exceeded"), "{body}");
     assert!(
         elapsed < 2 * budget,
         "503 took {elapsed:?}, over twice the {budget:?} budget"
@@ -122,7 +147,6 @@ fn injected_panic_is_500_and_the_worker_pool_survives() {
         engine(),
         ServerConfig {
             n_workers: 1, // one worker: a lost thread would hang the test
-            cache_capacity: 0,
             ..ServerConfig::default()
         },
     )
@@ -150,17 +174,12 @@ fn injected_panic_is_500_and_the_worker_pool_survives() {
 fn injected_error_is_500_with_the_injected_message() {
     let _chaos = chaos();
     fail::configure("engine.compare", Action::Error("chaos wire fault".into()));
-    let server = Server::start(
-        engine(),
-        ServerConfig {
-            cache_capacity: 0,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
-    let (status, _, body) = request(server.local_addr(), COMPARE);
+    let server = Server::start(engine(), ServerConfig::default()).unwrap();
+    let (status, _, body) = compare(server.local_addr());
     assert_eq!(status, 500, "{body}");
-    assert!(body.contains("chaos wire fault"), "{body}");
+    let env = envelope(&body);
+    assert_eq!(env.code, ErrorCode::Internal, "{body}");
+    assert!(env.message.contains("chaos wire fault"), "{body}");
     server.shutdown();
 }
 
@@ -176,7 +195,6 @@ fn full_admission_queue_sheds_overflow_with_503() {
         ServerConfig {
             n_workers: 1,
             queue_capacity: 1,
-            cache_capacity: 0,
             retry_after_secs: 2,
             ..ServerConfig::default()
         },
@@ -185,7 +203,7 @@ fn full_admission_queue_sheds_overflow_with_503() {
     let addr = server.local_addr();
 
     let clients: Vec<_> = (0..6)
-        .map(|_| std::thread::spawn(move || request(addr, COMPARE)))
+        .map(|_| std::thread::spawn(move || compare(addr)))
         .collect();
     let results: Vec<_> = clients.into_iter().map(|h| h.join().unwrap()).collect();
 
@@ -217,7 +235,6 @@ fn graceful_shutdown_drains_queued_requests() {
         ServerConfig {
             n_workers: 1,
             queue_capacity: 4,
-            cache_capacity: 0,
             ..ServerConfig::default()
         },
     )
@@ -226,7 +243,7 @@ fn graceful_shutdown_drains_queued_requests() {
 
     // One request being served, one parked in the admission queue.
     let clients: Vec<_> = (0..2)
-        .map(|_| std::thread::spawn(move || request(addr, COMPARE)))
+        .map(|_| std::thread::spawn(move || compare(addr)))
         .collect();
     std::thread::sleep(Duration::from_millis(50));
 

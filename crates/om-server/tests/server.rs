@@ -6,19 +6,44 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
+use om_api::{ErrorCode, ErrorEnvelope};
 use om_engine::{EngineConfig, OpportunityMap};
+use om_server::ops::EngineBackend;
+use om_server::v1::compare_wire;
 use om_server::{Server, ServerConfig};
 use om_synth::paper_scenario;
 
 /// One engine shared by every test in the binary (building cubes over
 /// 20k records once keeps the suite fast).
-fn engine() -> Arc<OpportunityMap> {
+fn shared_engine() -> &'static Arc<OpportunityMap> {
     use std::sync::OnceLock;
     static OM: OnceLock<Arc<OpportunityMap>> = OnceLock::new();
-    Arc::clone(OM.get_or_init(|| {
+    OM.get_or_init(|| {
         let (ds, _) = paper_scenario(20_000, 33);
         Arc::new(OpportunityMap::build(ds, EngineConfig::default()).unwrap())
-    }))
+    })
+}
+
+fn engine() -> Arc<OpportunityMap> {
+    Arc::clone(shared_engine())
+}
+
+const COMPARE_BODY: &str = r#"{"attr":"PhoneModel","v1":"ph1","v2":"ph2","class":"dropped"}"#;
+
+/// The `/v1/compare` body the engine answers `COMPARE_BODY` with.
+fn direct_compare_bytes() -> String {
+    let om = engine();
+    let direct = om
+        .run_compare_by_name("PhoneModel", "ph1", "ph2", "dropped", om.exec_ctx(None))
+        .unwrap();
+    compare_wire(&direct).encode()
+}
+
+/// The envelope code of an error body.
+fn code_of(body: &str) -> ErrorCode {
+    ErrorEnvelope::parse(body)
+        .unwrap_or_else(|e| panic!("not an error envelope ({e}): {body}"))
+        .code
 }
 
 fn start_server() -> Server {
@@ -62,36 +87,39 @@ fn get(addr: std::net::SocketAddr, target: &str) -> (u16, String) {
     )
 }
 
-#[test]
-fn unknown_path_upload_gets_404_without_draining_the_body() {
-    // A server with a raised upload allowance: POSTing a body declared
-    // far beyond the stock 1 MiB cap at a path nothing serves must be
-    // answered (404) from the head alone — the server never waits for
-    // the body a 404 would not read.
-    let server = Server::start(
-        engine(),
-        ServerConfig {
-            request_timeout: Duration::from_secs(5),
-            max_body_bytes: 64 << 20,
-            ..ServerConfig::default()
-        },
+/// `POST` a JSON body; returns (status, headers, body).
+fn post_full(addr: std::net::SocketAddr, path: &str, body: &str) -> (u16, String, String) {
+    raw_request_full(
+        addr,
+        &format!(
+            "POST {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        ),
     )
-    .unwrap();
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+}
+
+fn post(addr: std::net::SocketAddr, path: &str, body: &str) -> (u16, String) {
+    let (status, _, body) = post_full(addr, path, body);
+    (status, body)
+}
+
+/// Send a request head declaring a 48 MiB upload, send none of it, and
+/// return what the server answers within 2 s.
+fn head_only_upload(addr: std::net::SocketAddr, path: &str) -> String {
+    let mut stream = TcpStream::connect(addr).unwrap();
     stream
         .write_all(
             format!(
-                "POST /v1/nope HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n",
+                "POST {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n",
                 48 << 20
             )
             .as_bytes(),
         )
         .unwrap();
-    // Send nothing further and read the response directly (the server
-    // keeps the socket open briefly for its politeness drain, so don't
-    // wait for close). With the pre-fix behavior the server would sit
-    // in the body read until its 5 s timeout and this 2 s client read
-    // would expire empty-handed.
+    // Read the response directly (the server keeps the socket open
+    // briefly for its politeness drain, so don't wait for close). A
+    // server sitting in the body read until its 5 s timeout would let
+    // this 2 s client read expire empty-handed.
     stream
         .set_read_timeout(Some(Duration::from_secs(2)))
         .unwrap();
@@ -103,11 +131,69 @@ fn unknown_path_upload_gets_404_without_draining_the_body() {
             Ok(n) => response.push_str(std::str::from_utf8(&buf[..n]).unwrap()),
         }
     }
+    response
+}
+
+/// A raised upload allowance, as a bulk-ingest deployment would set.
+fn bulk_upload_config() -> ServerConfig {
+    ServerConfig {
+        request_timeout: Duration::from_secs(5),
+        max_body_bytes: 64 << 20,
+        ..ServerConfig::default()
+    }
+}
+
+#[test]
+fn unknown_path_upload_gets_404_without_draining_the_body() {
+    // A server with a raised upload allowance: POSTing a body declared
+    // far beyond the stock 1 MiB cap at a path nothing serves must be
+    // answered (404) from the head alone — the server never waits for
+    // the body a 404 would not read.
+    let server = Server::start(engine(), bulk_upload_config()).unwrap();
+    let response = head_only_upload(server.local_addr(), "/v1/nope");
     assert!(
         response.starts_with("HTTP/1.1 404"),
         "expected a head-only 404: {response:?}"
     );
     assert!(response.contains("not_found"), "{response:?}");
+    server.shutdown();
+}
+
+#[test]
+fn custom_backend_internal_upload_gets_404_without_draining_the_body() {
+    // `/internal/*` is served only by engine-backed nodes. A custom
+    // backend (the cluster coordinator's entry point) 404s it, so the
+    // same head-only answer applies there: admission must not grant the
+    // raised allowance to a path the coordinator never routes.
+    let ops = Arc::new(EngineBackend {
+        om: shared_engine(),
+        ingest: None,
+    });
+    let server = Server::start_custom(ops, bulk_upload_config()).unwrap();
+    let response = head_only_upload(server.local_addr(), "/internal/level");
+    assert!(
+        response.starts_with("HTTP/1.1 404"),
+        "expected a head-only 404: {response:?}"
+    );
+    assert!(response.contains("no route"), "{response:?}");
+    server.shutdown();
+}
+
+#[test]
+fn retired_legacy_endpoints_are_404() {
+    let server = start_server();
+    let addr = server.local_addr();
+    for target in [
+        "/compare?attr=PhoneModel&v1=ph1&v2=ph2&class=dropped",
+        "/drill?attr=PhoneModel&v1=ph1&v2=ph2&class=dropped&depth=1",
+        "/gi?top=5",
+        "/cube/slice?attr=PhoneModel",
+    ] {
+        let (status, body) = get(addr, target);
+        assert_eq!(status, 404, "GET {target}: {body}");
+    }
+    let (status, body) = post(addr, "/ingest", "a,b,c\n");
+    assert_eq!(status, 404, "POST /ingest: {body}");
     server.shutdown();
 }
 
@@ -123,15 +209,9 @@ fn healthz_answers() {
 #[test]
 fn compare_matches_direct_engine_call() {
     let server = start_server();
-    let (status, body) = get(
-        server.local_addr(),
-        "/compare?attr=PhoneModel&v1=ph1&v2=ph2&class=dropped",
-    );
+    let (status, body) = post(server.local_addr(), "/v1/compare", COMPARE_BODY);
     assert_eq!(status, 200);
-    let direct = engine()
-        .run_compare_by_name("PhoneModel", "ph1", "ph2", "dropped", engine().exec_ctx(None))
-        .unwrap();
-    assert_eq!(body, om_compare::json::to_json(&direct));
+    assert_eq!(body, direct_compare_bytes());
     server.shutdown();
 }
 
@@ -140,7 +220,7 @@ fn gi_and_cube_slice_match_direct_calls() {
     let server = start_server();
     let addr = server.local_addr();
 
-    let (status, gi_body) = get(addr, "/gi?top=5");
+    let (status, gi_body) = post(addr, "/v1/gi", r#"{"top":5}"#);
     assert_eq!(status, 200);
     let report = engine().run_general_impressions(engine().exec_ctx(None)).unwrap();
     // Spot-check against the direct engine report: the top influence
@@ -148,7 +228,7 @@ fn gi_and_cube_slice_match_direct_calls() {
     assert!(gi_body.contains(&format!("\"attr\":\"{}\"", report.influence[0].attr_name)));
     assert!(gi_body.contains("\"trends\":["));
 
-    let (status, slice_body) = get(addr, "/cube/slice?attr=PhoneModel");
+    let (status, slice_body) = post(addr, "/v1/cube/slice", r#"{"attr":"PhoneModel"}"#);
     assert_eq!(status, 200);
     let cube = engine()
         .store()
@@ -165,9 +245,10 @@ fn gi_and_cube_slice_match_direct_calls() {
 #[test]
 fn drill_answers_with_levels() {
     let server = start_server();
-    let (status, body) = get(
+    let (status, body) = post(
         server.local_addr(),
-        "/drill?attr=PhoneModel&v1=ph1&v2=ph2&class=dropped&depth=1",
+        "/v1/drill",
+        r#"{"attr":"PhoneModel","v1":"ph1","v2":"ph2","class":"dropped","depth":1}"#,
     );
     assert_eq!(status, 200);
     assert!(body.starts_with("{\"levels\":["));
@@ -185,7 +266,7 @@ fn malformed_requests_get_400_and_server_survives() {
     let (status, _) = raw_request(addr, "GET /x HTTP/9.9\r\n\r\n");
     assert_eq!(status, 400);
 
-    let (status, _) = raw_request(addr, "GET /compare?a=%zz HTTP/1.1\r\n\r\n");
+    let (status, _) = raw_request(addr, "POST /v1/compare?a=%zz HTTP/1.1\r\n\r\n");
     assert_eq!(status, 400);
 
     let long = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(10_000));
@@ -206,24 +287,31 @@ fn malformed_requests_get_400_and_server_survives() {
 fn missing_params_and_unknown_names() {
     let server = start_server();
     let addr = server.local_addr();
-    assert_eq!(get(addr, "/compare?attr=PhoneModel").0, 400);
-    assert_eq!(
-        get(addr, "/compare?attr=Nope&v1=a&v2=b&class=dropped").0,
-        404
+    let (status, body) = post(addr, "/v1/compare", r#"{"attr":"PhoneModel"}"#);
+    assert_eq!(status, 400, "{body}");
+    assert_eq!(code_of(&body), ErrorCode::BadRequest);
+    let (status, body) = post(
+        addr,
+        "/v1/compare",
+        r#"{"attr":"Nope","v1":"a","v2":"b","class":"dropped"}"#,
     );
+    assert_eq!(status, 404, "{body}");
+    assert_eq!(code_of(&body), ErrorCode::UnknownName);
+    let (status, body) = post(addr, "/v1/gi", r#"{"top":"lots"}"#);
+    assert_eq!(status, 400, "{body}");
+    assert_eq!(code_of(&body), ErrorCode::BadRequest);
     assert_eq!(get(addr, "/no/such/route").0, 404);
     server.shutdown();
 }
 
 #[test]
-fn metrics_reflect_requests_and_cache() {
+fn metrics_reflect_requests() {
     let server = start_server();
     let addr = server.local_addr();
 
-    let target = "/compare?attr=PhoneModel&v1=ph1&v2=ph2&class=dropped";
-    let (_, cold) = get(addr, target);
-    let (_, warm) = get(addr, target);
-    assert_eq!(cold, warm, "cache must not change the answer");
+    let (_, first) = post(addr, "/v1/compare", COMPARE_BODY);
+    let (_, second) = post(addr, "/v1/compare", COMPARE_BODY);
+    assert_eq!(first, second, "repeated requests must get the same answer");
     let _ = get(addr, "/healthz");
     let _ = get(addr, "/no/such/route");
 
@@ -235,10 +323,6 @@ fn metrics_reflect_requests_and_cache() {
     );
     assert!(metrics.contains("om_requests_total{endpoint=\"healthz\"} 1"));
     assert!(metrics.contains("om_requests_total{endpoint=\"other\"} 1"));
-    // Only the cold /compare consulted the cache; /healthz and the 404
-    // bypass it entirely.
-    assert!(metrics.contains("om_cache_misses_total 1"), "{metrics}");
-    assert!(metrics.contains("om_cache_hits_total 1"), "{metrics}");
     assert!(metrics.contains("om_errors_total 1"), "{metrics}");
     // 4 requests recorded by the time /metrics renders itself.
     assert!(metrics.contains("om_latency_samples_total 4"), "{metrics}");
@@ -272,22 +356,17 @@ fn stalled_request_times_out_with_408() {
 fn eight_concurrent_clients_get_correct_answers() {
     let server = start_server();
     let addr = server.local_addr();
-    let expected = om_compare::json::to_json(
-        &engine()
-            .run_compare_by_name("PhoneModel", "ph1", "ph2", "dropped", engine().exec_ctx(None))
-            .unwrap(),
-    );
+    let expected = direct_compare_bytes();
 
     let handles: Vec<_> = (0..8)
         .map(|i| {
             let expected = expected.clone();
             std::thread::spawn(move || {
                 for round in 0..5 {
-                    // Every thread alternates endpoints so the cache and
-                    // the engine path both see concurrency.
+                    // Every thread alternates endpoints so the engine path
+                    // and the cheap probe both see concurrency.
                     if (i + round) % 2 == 0 {
-                        let (status, body) =
-                            get(addr, "/compare?attr=PhoneModel&v1=ph1&v2=ph2&class=dropped");
+                        let (status, body) = post(addr, "/v1/compare", COMPARE_BODY);
                         assert_eq!(status, 200);
                         assert_eq!(body, expected);
                     } else {
@@ -323,23 +402,28 @@ fn exhausted_engine_budget_is_503_with_retry_after() {
         ServerConfig {
             engine_budget: Some(Duration::ZERO),
             retry_after_secs: 3,
-            cache_capacity: 0,
             ..ServerConfig::default()
         },
     )
     .unwrap();
     let addr = server.local_addr();
 
-    let (status, head, body) = raw_request_full(
-        addr,
-        "GET /compare?attr=PhoneModel&v1=ph1&v2=ph2&class=dropped HTTP/1.1\r\n\r\n",
-    );
+    let (status, head, body) = post_full(addr, "/v1/compare", COMPARE_BODY);
     assert_eq!(status, 503, "{body}");
     assert!(head.contains("Retry-After: 3\r\n"), "{head}");
-    assert!(body.contains("deadline exceeded"), "{body}");
+    let env = ErrorEnvelope::parse(&body).unwrap();
+    assert_eq!(env.code, ErrorCode::Overloaded, "{body}");
+    assert_eq!(env.retry_after_ms, Some(3000), "{body}");
+    assert!(env.message.contains("deadline exceeded"), "{body}");
 
-    assert_eq!(get(addr, "/gi").0, 503);
+    let (status, head, body) = post_full(addr, "/v1/gi", "{}");
+    assert_eq!(status, 503, "{body}");
+    assert!(head.contains("Retry-After: 3\r\n"), "{head}");
+    assert_eq!(code_of(&body), ErrorCode::Overloaded);
     assert_eq!(get(addr, "/healthz").0, 200);
+    // Cube slices read precomputed counts — no engine budget needed.
+    let (status, body) = post(addr, "/v1/cube/slice", r#"{"attr":"PhoneModel"}"#);
+    assert_eq!(status, 200, "{body}");
 
     let (_, metrics) = get(addr, "/metrics");
     assert!(
@@ -360,15 +444,9 @@ fn generous_budget_does_not_change_answers() {
         },
     )
     .unwrap();
-    let (status, body) = get(
-        server.local_addr(),
-        "/compare?attr=PhoneModel&v1=ph1&v2=ph2&class=dropped",
-    );
+    let (status, body) = post(server.local_addr(), "/v1/compare", COMPARE_BODY);
     assert_eq!(status, 200);
-    let direct = engine()
-        .run_compare_by_name("PhoneModel", "ph1", "ph2", "dropped", engine().exec_ctx(None))
-        .unwrap();
-    assert_eq!(body, om_compare::json::to_json(&direct));
+    assert_eq!(body, direct_compare_bytes());
     server.shutdown();
 }
 
@@ -399,57 +477,47 @@ fn live_ingestion_end_to_end() {
     .unwrap();
     let addr = server.local_addr();
 
-    // Warm the response cache against generation 0.
-    let (status, before) = get(addr, "/cube/slice?attr=PhoneModel");
+    let slice = r#"{"attr":"PhoneModel"}"#;
+    let (status, before) = post(addr, "/v1/cube/slice", slice);
     assert_eq!(status, 200);
     assert!(before.contains("\"total\":5000"), "{before}");
 
-    // Row 0 of the discretized dataset, as the CSV a client would POST
-    // (interval bin labels contain commas, hence the quoting).
+    // Row 0 of the discretized dataset, as the labels a client posts.
     let dataset = om.dataset();
-    let row = (0..dataset.schema().n_attributes())
+    let row: Vec<String> = (0..dataset.schema().n_attributes())
         .map(|i| {
             let id = dataset.column(i).as_categorical().unwrap()[0];
-            let label = dataset.schema().attribute(i).domain().label(id).unwrap();
-            if label.contains(',') {
-                format!("\"{label}\"")
-            } else {
-                label.to_owned()
-            }
+            dataset.schema().attribute(i).domain().label(id).unwrap().to_owned()
         })
-        .collect::<Vec<_>>()
-        .join(",");
-    let body = format!("{row}\n{row}\n{row}\n");
-    let (status, reply) = raw_request(
-        addr,
-        &format!(
-            "POST /ingest HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        ),
-    );
+        .collect();
+    let body = om_api::IngestRequest {
+        rows: vec![row.clone(), row.clone(), row.clone()],
+    }
+    .encode();
+    let (status, reply) = post(addr, "/v1/ingest", &body);
     assert_eq!(status, 200, "{reply}");
     assert!(reply.contains("\"accepted\":3"), "{reply}");
 
     // A malformed batch is a 400 naming the row, and commits nothing.
-    let bad = "such,garbage\n";
-    let (status, reply) = raw_request(
-        addr,
-        &format!(
-            "POST /ingest HTTP/1.1\r\nContent-Length: {}\r\n\r\n{bad}",
-            bad.len()
-        ),
-    );
+    let bad = om_api::IngestRequest {
+        rows: vec![vec!["such".into(), "garbage".into()]],
+    }
+    .encode();
+    let (status, reply) = post(addr, "/v1/ingest", &bad);
     assert_eq!(status, 400, "{reply}");
-    assert!(reply.contains("row 1"), "{reply}");
+    let env = ErrorEnvelope::parse(&reply).unwrap();
+    assert_eq!(env.code, ErrorCode::BadRow, "{reply}");
+    assert_eq!(env.row, Some(1), "{reply}");
 
-    // GET on /ingest is a 405 even with ingestion enabled.
-    assert_eq!(get(addr, "/ingest").0, 405);
+    // GET on /v1/ingest is a 405 even with ingestion enabled.
+    let (status, reply) = get(addr, "/v1/ingest");
+    assert_eq!(status, 405, "{reply}");
+    assert_eq!(code_of(&reply), ErrorCode::MethodNotAllowed);
 
     // Force the pipeline through seal + merge + publish, then the served
-    // counts must include the rows (the generation-scoped cache key
-    // retires the warmed generation-0 entry).
+    // counts must include the rows.
     handle.flush().unwrap();
-    let (status, after) = get(addr, "/cube/slice?attr=PhoneModel");
+    let (status, after) = post(addr, "/v1/cube/slice", slice);
     assert_eq!(status, 200);
     assert!(after.contains("\"total\":5003"), "{after}");
 
